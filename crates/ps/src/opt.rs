@@ -8,19 +8,20 @@
 //! touches the aggregation loop.
 
 use cdsgd_tensor::kernel;
-use std::sync::Arc;
 
 /// The per-key server update rule. One instance per key (state such as a
 /// momentum buffer is key-local), driven once per completed aggregate
 /// round by the server loop.
 pub trait ServerOpt: Send {
-    /// Build the next weight snapshot from the current `weights` and the
-    /// aggregated (summed, not averaged) gradient `acc`. `step` is the
-    /// effective rate `η / N`, so plain SGD is `w − step · g`.
+    /// Write the next weight snapshot into `out` from the current
+    /// `weights` and the aggregated (summed, not averaged) gradient
+    /// `acc`. `step` is the effective rate `η / N`, so plain SGD is
+    /// `w − step · g`.
     ///
-    /// Returns a fresh shared snapshot: the server replaces the key's
-    /// `Arc` wholesale so outstanding pulls keep their old version.
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]>;
+    /// `out` is a buffer no pull can still see (a fresh allocation or a
+    /// recycled, unshared old version); every element is overwritten, so
+    /// its previous contents never matter.
+    fn apply_into(&mut self, weights: &[f32], acc: &[f32], step: f32, out: &mut [f32]);
 
     /// Human-readable optimizer name (run labels / logs).
     fn name(&self) -> &'static str;
@@ -41,10 +42,8 @@ pub trait ServerOpt: Send {
 pub struct PlainSgd;
 
 impl ServerOpt for PlainSgd {
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]> {
-        let mut next = vec![0.0; weights.len()];
-        kernel::sgd_step(&mut next, weights, acc, step);
-        next.into()
+    fn apply_into(&mut self, weights: &[f32], acc: &[f32], step: f32, out: &mut [f32]) {
+        kernel::sgd_step(out, weights, acc, step);
     }
 
     fn name(&self) -> &'static str {
@@ -71,14 +70,12 @@ impl HeavyBall {
 }
 
 impl ServerOpt for HeavyBall {
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]> {
+    fn apply_into(&mut self, weights: &[f32], acc: &[f32], step: f32, out: &mut [f32]) {
         if self.velocity.len() != weights.len() {
             self.velocity = vec![0.0; weights.len()];
         }
         kernel::decay_add(&mut self.velocity, self.momentum, acc);
-        let mut next = vec![0.0; weights.len()];
-        kernel::sgd_step(&mut next, weights, &self.velocity, step);
-        next.into()
+        kernel::sgd_step(out, weights, &self.velocity, step);
     }
 
     fn name(&self) -> &'static str {
@@ -115,14 +112,12 @@ impl Nesterov {
 }
 
 impl ServerOpt for Nesterov {
-    fn apply(&mut self, weights: &[f32], acc: &[f32], step: f32) -> Arc<[f32]> {
+    fn apply_into(&mut self, weights: &[f32], acc: &[f32], step: f32, out: &mut [f32]) {
         if self.velocity.len() != weights.len() {
             self.velocity = vec![0.0; weights.len()];
         }
         kernel::decay_add(&mut self.velocity, self.momentum, acc);
-        let mut next = vec![0.0; weights.len()];
-        kernel::nesterov_step(&mut next, weights, acc, &self.velocity, step, self.momentum);
-        next.into()
+        kernel::nesterov_step(out, weights, acc, &self.velocity, step, self.momentum);
     }
 
     fn name(&self) -> &'static str {
@@ -182,10 +177,18 @@ impl ServerOptKind {
 mod tests {
     use super::*;
 
+    /// One optimizer step into a NaN-filled buffer, so an element
+    /// `apply_into` leaves unwritten fails the comparison.
+    fn step(opt: &mut dyn ServerOpt, w: &[f32], g: &[f32], lr: f32) -> Vec<f32> {
+        let mut out = vec![f32::NAN; w.len()];
+        opt.apply_into(w, g, lr, &mut out);
+        out
+    }
+
     #[test]
     fn plain_sgd_matches_eq10() {
         let mut opt = PlainSgd;
-        let w = opt.apply(&[1.0, 2.0], &[10.0, -10.0], 0.1);
+        let w = step(&mut opt, &[1.0, 2.0], &[10.0, -10.0], 0.1);
         assert_eq!(*w, [0.0, 3.0]);
     }
 
@@ -193,9 +196,9 @@ mod tests {
     fn heavy_ball_accumulates_velocity() {
         let mut opt = HeavyBall::new(0.9);
         // v=1, w=-1; then v=1.9, w=-2.9 (the server.rs momentum test).
-        let w1 = opt.apply(&[0.0], &[1.0], 1.0);
+        let w1 = step(&mut opt, &[0.0], &[1.0], 1.0);
         assert!((w1[0] + 1.0).abs() < 1e-6);
-        let w2 = opt.apply(&w1, &[1.0], 1.0);
+        let w2 = step(&mut opt, &w1, &[1.0], 1.0);
         assert!((w2[0] + 2.9).abs() < 1e-6);
     }
 
@@ -204,9 +207,9 @@ mod tests {
         let mut opt = Nesterov::new(0.9);
         // v=1, d = 1 + 0.9·1 = 1.9, w = -1.9;
         // then v=1.9, d = 1 + 0.9·1.9 = 2.71, w = -4.61.
-        let w1 = opt.apply(&[0.0], &[1.0], 1.0);
+        let w1 = step(&mut opt, &[0.0], &[1.0], 1.0);
         assert!((w1[0] + 1.9).abs() < 1e-6);
-        let w2 = opt.apply(&w1, &[1.0], 1.0);
+        let w2 = step(&mut opt, &w1, &[1.0], 1.0);
         assert!((w2[0] + 4.61).abs() < 1e-5);
     }
 
@@ -216,21 +219,21 @@ mod tests {
         let mut sgd = PlainSgd;
         let w = [0.5f32, -0.25, 3.0];
         let g = [1.0f32, 2.0, -4.0];
-        assert_eq!(hb.apply(&w, &g, 0.1), sgd.apply(&w, &g, 0.1));
+        assert_eq!(step(&mut hb, &w, &g, 0.1), step(&mut sgd, &w, &g, 0.1));
     }
 
     #[test]
     fn momentum_state_round_trips_through_export() {
         let mut opt = HeavyBall::new(0.9);
-        opt.apply(&[0.0, 0.0], &[1.0, -2.0], 1.0);
+        step(&mut opt, &[0.0, 0.0], &[1.0, -2.0], 1.0);
         let saved = opt.export_state();
         assert_eq!(saved, vec![1.0, -2.0]);
 
         // A fresh instance restored from the export continues identically.
         let mut fresh = HeavyBall::new(0.9);
         fresh.import_state(&saved);
-        let cont = opt.apply(&[0.0, 0.0], &[1.0, 1.0], 1.0);
-        let rest = fresh.apply(&[0.0, 0.0], &[1.0, 1.0], 1.0);
+        let cont = step(&mut opt, &[0.0, 0.0], &[1.0, 1.0], 1.0);
+        let rest = step(&mut fresh, &[0.0, 0.0], &[1.0, 1.0], 1.0);
         assert_eq!(*cont, *rest);
 
         // Stateless SGD exports nothing.

@@ -337,9 +337,11 @@ impl Members {
 }
 
 struct KeyState {
-    /// Current weight snapshot. Immutable once built: every pull of this
-    /// version shares the same allocation (`Arc` bump, zero copies), and
-    /// the aggregate update *replaces* the Arc rather than mutating it.
+    /// Current weight snapshot. Immutable once published: every pull of
+    /// this version shares the same allocation (`Arc` bump, zero copies),
+    /// and the aggregate update *replaces* the Arc. Only a retired
+    /// version that nobody holds any more is rewritten, as the storage
+    /// of a later one (see [`apply_update`]).
     weights: Arc<[f32]>,
     /// Weights as of `version − 1`, kept so pulls can be served at an
     /// *exact* version. A worker that pushes round r and then pulls
@@ -1143,15 +1145,23 @@ fn net_delay(delay_per_byte: f64, bytes: usize) {
 /// of workers whose pushes fed this round (`contributors`). Fixed
 /// membership makes that always `cfg.num_workers`.
 ///
-/// The optimizer builds the new version as a fresh `Arc<[f32]>` snapshot
-/// (the one copy per round, counted in [`TrafficStats::bytes_copied`])
-/// which rotates the old snapshot into `prev_weights` — pulls of either
-/// version are then served by reference-count bumps alone.
+/// The optimizer writes the new version into a snapshot buffer (the one
+/// copy per round, counted in [`TrafficStats::bytes_copied`]), which then
+/// rotates the old snapshot into `prev_weights` — pulls of either version
+/// are served by reference-count bumps alone. The buffer is the version
+/// being retired (`prev_weights`, two rounds old) whenever
+/// [`Arc::get_mut`] proves nothing else holds it — no queued pull reply,
+/// worker, or checkpoint capture — and a fresh allocation otherwise, so
+/// a snapshot someone still reads is never overwritten.
 fn apply_update(ks: &mut KeyState, cfg: &ServerConfig, contributors: usize, stats: &TrafficStats) {
     let step = cfg.global_lr / contributors as f32;
-    let new = ks.opt.apply(&ks.weights, &ks.acc, step);
-    stats.record_copy(4 * new.len());
-    ks.prev_weights = std::mem::replace(&mut ks.weights, new);
+    if Arc::get_mut(&mut ks.prev_weights).is_none() {
+        ks.prev_weights = std::iter::repeat_n(0.0, ks.weights.len()).collect();
+    }
+    let out = Arc::get_mut(&mut ks.prev_weights).expect("a fresh snapshot is unshared");
+    ks.opt.apply_into(&ks.weights, &ks.acc, step, out);
+    stats.record_copy(4 * out.len());
+    std::mem::swap(&mut ks.weights, &mut ks.prev_weights);
 }
 
 #[cfg(test)]
@@ -1283,6 +1293,54 @@ mod tests {
             "same-version pulls must share storage"
         );
         assert_eq!(*w1, [-1.0; 8]);
+        ps.shutdown();
+    }
+
+    /// One 1-worker round at lr 1 on a 4-element key: push all-ones, pull
+    /// the new version (`−v` everywhere).
+    fn unit_round(c: &PsClient, v: u64) -> Arc<[f32]> {
+        c.push(0, 0, Compressed::Raw(vec![1.0; 4])).unwrap();
+        c.pull(0, v).unwrap()
+    }
+
+    #[test]
+    fn recycled_snapshots_never_clobber_a_held_version() {
+        let ps = ParamServer::start(vec![vec![0.0; 4]], ServerConfig::new(1, 1.0));
+        let c = ps.client();
+        let held = unit_round(&c, 1);
+        // Rounds 2 and 3 retire version 1 into the recycling slot; the
+        // server must see the extra holder and allocate instead.
+        for v in 2..=4 {
+            let w = unit_round(&c, v);
+            assert_eq!(*w, [-(v as f32); 4]);
+            assert_ne!(w.as_ptr(), held.as_ptr(), "round {v} reused a held buffer");
+            assert_eq!(*held, [-1.0; 4], "version 1 changed by round {v}");
+        }
+        // Once nothing holds version v, version v + 2 reuses its storage.
+        let v5 = unit_round(&c, 5);
+        let p5 = v5.as_ptr();
+        drop(v5);
+        unit_round(&c, 6);
+        let v7 = unit_round(&c, 7);
+        assert_eq!(v7.as_ptr(), p5, "an unshared retired version is recycled");
+        assert_eq!(*v7, [-7.0; 4]);
+        ps.shutdown();
+    }
+
+    #[test]
+    fn bytes_copied_counts_one_snapshot_per_round() {
+        // Fresh allocations (round 1, a held version) and recycled
+        // buffers are both charged exactly one snapshot per round.
+        let ps = ParamServer::start(vec![vec![0.0; 4]], ServerConfig::new(1, 1.0));
+        let c = ps.client();
+        let mut held = Vec::new();
+        for v in 1..=6u64 {
+            let w = unit_round(&c, v);
+            if v == 2 {
+                held.push(w);
+            }
+            assert_eq!(ps.stats().bytes_copied(), v * 4 * 4, "after round {v}");
+        }
         ps.shutdown();
     }
 

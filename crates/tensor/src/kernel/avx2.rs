@@ -226,7 +226,8 @@ pub unsafe fn nesterov_step(out: &mut [f32], w: &[f32], g: &[f32], v: &[f32], st
 /// Striped-order dot product (AVX2) — bit-identical to
 /// [`super::scalar::dot`] by construction: one vector accumulator is
 /// exactly the scalar reference's 8 stripe accumulators, combined with
-/// the same pairwise tree, then the same sequential tail.
+/// the same pairwise tree, then the same sequential tail, and the same
+/// canonical NaN.
 #[target_feature(enable = "avx2")]
 pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -246,7 +247,11 @@ pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     for i in n8..a.len() {
         acc += a[i] * b[i];
     }
-    acc
+    if acc.is_nan() {
+        f32::NAN
+    } else {
+        acc
+    }
 }
 
 /// `max(|x[i]|)` (AVX2). Order-independent once `abs` has collapsed

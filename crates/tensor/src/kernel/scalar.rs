@@ -141,6 +141,11 @@ pub fn reduce_max_abs(x: &[f32]) -> f32 {
 /// the natural AVX2 accumulation shape; the scalar reference implements
 /// the same order so both paths agree bitwise. See the module docs of
 /// [`super`] for why `dot` is *not* sequential-order.
+///
+/// A NaN result is returned as the canonical [`f32::NAN`]: Rust leaves
+/// the sign and payload of a NaN that arithmetic produces unspecified,
+/// and an optimised build may swap the operands of `+`, so the NaN's bits
+/// would otherwise differ between backends and build profiles.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut lanes = [0.0f32; 8];
@@ -156,7 +161,11 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     for (&av, &bv) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
         acc += av * bv;
     }
-    acc
+    if acc.is_nan() {
+        f32::NAN
+    } else {
+        acc
+    }
 }
 
 // ---------------------------------------------------------------------------

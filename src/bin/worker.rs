@@ -87,7 +87,7 @@ use cd_sgd::{
     WorkerFault,
 };
 use cd_sgd_repro::deploy::{
-    arg, arg_or, build_dataset, build_model, flag, initial_weights, parse_algorithm,
+    arg, arg_or, build_dataset, build_model, flag, initial_weights, parse_addrs, parse_algorithm,
     parse_reconnect, parse_topology, trace_telemetry, AlgoDefaults,
 };
 use cdsgd_net::{FaultPlan, NetConfig};
@@ -100,9 +100,6 @@ fn main() {
     let console = Console::new();
     let id: usize = arg_or("id", 0);
     let workers: usize = arg_or("workers", 1);
-    let servers: Vec<String> = arg("servers")
-        .map(|s| s.split(',').map(str::to_string).collect())
-        .unwrap_or_default();
 
     let dataset = arg("dataset").unwrap_or_else(|| "blobs".to_string());
     let samples: usize = arg_or("samples", 480);
@@ -153,6 +150,12 @@ fn main() {
     });
 
     let argv: Vec<String> = std::env::args().collect();
+    let [servers, peers] = ["servers", "peers"].map(|name| {
+        parse_addrs(&argv, name).unwrap_or_else(|e| {
+            console.error(e);
+            std::process::exit(2)
+        })
+    });
     let defaults = AlgoDefaults {
         local_lr: 0.05,
         threshold: 0.05,
@@ -242,18 +245,14 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        let peers: Vec<String> = arg("peers")
-            .unwrap_or_else(|| {
-                console.error(format_args!(
-                    "--topology {} needs --peers addr0,addr1,... (one per worker, \
-                     every process listing the same addresses in the same order)",
-                    topology.name()
-                ));
-                std::process::exit(2)
-            })
-            .split(',')
-            .map(str::to_string)
-            .collect();
+        if peers.is_empty() {
+            console.error(format_args!(
+                "--topology {} needs --peers addr0,addr1,... (one per worker, \
+                 every process listing the same addresses in the same order)",
+                topology.name()
+            ));
+            std::process::exit(2);
+        }
         if peers.len() != workers || id >= workers {
             console.error(format_args!(
                 "--peers lists {} addresses but --workers is {workers} (--id {id} \
@@ -325,7 +324,10 @@ fn main() {
         servers.len()
     ));
     let cluster = NetCluster::connect_traced(&servers, num_keys, NetConfig::default(), telemetry)
-        .expect("connect to servers");
+        .unwrap_or_else(|e| {
+            console.error(format_args!("worker {id}: cannot connect to servers: {e}"));
+            std::process::exit(1)
+        });
     if let Some(n) = chaos_drop_sends {
         console.status(format_args!(
             "worker {id}: chaos — every shard connection dies after {n} sent frames"
@@ -335,14 +337,18 @@ fn main() {
     // With reconnect armed the training client survives link drops by
     // redialing + re-registering + replaying (DESIGN.md §13); without
     // the flags this is the exact legacy single-dial client.
-    let client: Box<dyn ParamClient> = match &reconnect {
-        Some(rc) => Box::new(
-            cluster
-                .reconnecting_client(id, rc.clone())
-                .expect("open shard connections"),
-        ),
-        None => cluster.client().expect("open shard connections"),
+    let client: Result<Box<dyn ParamClient>, _> = match &reconnect {
+        Some(rc) => cluster
+            .reconnecting_client(id, rc.clone())
+            .map(|c| Box::new(c) as Box<dyn ParamClient>),
+        None => cluster.client(),
     };
+    let client = client.unwrap_or_else(|e| {
+        console.error(format_args!(
+            "worker {id}: cannot open shard connections: {e}"
+        ));
+        std::process::exit(1)
+    });
     // `--register` / `--heartbeat-ms`: keep a shared handle so the
     // goodbye after training and the background heartbeats ride the
     // same ordered connections the pushes use (the server then sees

@@ -238,6 +238,36 @@ pub fn parse_reconnect(args: &[String]) -> Result<Option<cdsgd_net::ReconnectCon
     }))
 }
 
+/// Parse an address-list flag (`--servers`, `--peers`) from `args`:
+/// comma-separated `host:port` entries, in order. `Ok(empty)` when the
+/// flag is absent. An empty entry, a missing host or a port outside
+/// 1-65535 is a usage `Err` naming the entry, so a typo such as an unset
+/// shell variable (`--servers "$A,$B"`) exits 2 before any connect.
+pub fn parse_addrs(args: &[String], name: &str) -> Result<Vec<String>, String> {
+    let Some(list) = lookup(args, name) else {
+        return Ok(Vec::new());
+    };
+    list.split(',')
+        .enumerate()
+        .map(|(i, entry)| {
+            let valid = entry.rsplit_once(':').is_some_and(|(host, port)| {
+                !host.is_empty()
+                    && !host.contains(char::is_whitespace)
+                    && port.parse::<u16>().is_ok_and(|p| p > 0)
+            });
+            if valid {
+                Ok(entry.to_string())
+            } else {
+                Err(format!(
+                    "--{name} entry {} is {entry:?}; usage: --{name} host:port[,host:port...] \
+                     (port 1-65535)",
+                    i + 1
+                ))
+            }
+        })
+        .collect()
+}
+
 /// Recovery flags shared by the server-shard front ends:
 /// `--checkpoint-dir <dir>` names the durable snapshot directory,
 /// `--checkpoint-every <rounds>` schedules writes at round boundaries
@@ -587,6 +617,43 @@ mod tests {
         ] {
             let err = parse_reconnect(&argv(args)).expect_err(&format!("args should fail: {args}"));
             assert!(!err.is_empty());
+        }
+    }
+
+    #[test]
+    fn parse_addrs_accepts_host_port_lists() {
+        assert_eq!(parse_addrs(&argv("worker"), "servers"), Ok(vec![]));
+        assert_eq!(
+            parse_addrs(
+                &argv("worker --servers 127.0.0.1:4100,localhost:4101"),
+                "servers"
+            ),
+            Ok(vec![
+                "127.0.0.1:4100".to_string(),
+                "localhost:4101".to_string()
+            ])
+        );
+        assert_eq!(
+            parse_addrs(&argv("worker --peers [::1]:4200"), "peers"),
+            Ok(vec!["[::1]:4200".to_string()])
+        );
+    }
+
+    #[test]
+    fn parse_addrs_rejects_bad_entries_without_panicking() {
+        for bad in [
+            ",127.0.0.1:4100",
+            "127.0.0.1:4100,",
+            "127.0.0.1",
+            ":4100",
+            "127.0.0.1:",
+            "127.0.0.1:0",
+            "127.0.0.1:70000",
+            "127.0.0.1:port",
+        ] {
+            let err =
+                parse_addrs(&argv(&format!("worker --servers {bad}")), "servers").expect_err(bad);
+            assert!(err.contains("--servers entry"), "{bad}: {err}");
         }
     }
 

@@ -273,3 +273,47 @@ fn worker_traces_account_for_every_server_byte() {
         "downlink: bytes the servers sent vs bytes the clients received"
     );
 }
+
+/// Run a default-config worker against `servers` to completion,
+/// returning its exit code and stderr.
+fn worker_exit(servers: &str) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_worker"))
+        .args(["--servers", servers, "--model", MODEL])
+        .output()
+        .expect("run worker");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn worker_rejects_bad_servers_entries_with_usage_exit() {
+    // The first entry is what an unset shell variable leaves behind.
+    for bad in [
+        ",127.0.0.1:4100",
+        "127.0.0.1",
+        "127.0.0.1:port",
+        "127.0.0.1:0",
+    ] {
+        let (code, stderr) = worker_exit(bad);
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains("--servers entry"), "{bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
+    }
+}
+
+#[test]
+fn worker_connect_failure_exits_one_with_typed_error() {
+    // A port that was just free: nothing listens there, so every connect
+    // attempt is refused.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve a local port")
+        .to_string();
+    let (code, stderr) = worker_exit(&addr);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("cannot connect to servers"), "{stderr}");
+    assert!(stderr.contains(&addr), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
