@@ -121,6 +121,7 @@ fn main() {
 
     let out = serde_json::json!({
         "bench": "checkpoint",
+        "nproc": std::thread::available_parallelism().map_or(0, |n| n.get()),
         "iters": iters,
         "records": records,
     });

@@ -1,7 +1,9 @@
 //! Kernel-layer dispatch sweep: the same primitive ops timed on the
 //! scalar reference, the SIMD backend, and SIMD + rayon tiling, across
-//! gradient sizes from 4 Ki to 1 Mi elements. Emits `BENCH_kernels.json`
-//! and prints a speedup table.
+//! gradient sizes from 4 Ki to 1 Mi elements, plus the nine Dense-layer
+//! GEMMs of one 784-512-512-10 MLP training step at batch 32, with the
+//! left operand dense and with half its entries zero (ReLU-sparse).
+//! Emits `BENCH_kernels.json` and prints speedup tables.
 //!
 //! The backend choice is cached per process (`CDSGD_FORCE_SCALAR` is
 //! read once), so each mode runs in a child process: the parent
@@ -37,6 +39,24 @@ const OPS: [&str; 5] = [
     "residual",
     "apply_update",
 ];
+
+/// The GEMMs of one MLP step at batch 32: `(op, m, k, n, role)` for the
+/// forward `X·W`, the weight gradient `Xᵀ·dY` and the input gradient
+/// `dY·Wᵀ` of each Dense layer.
+const DENSE: [(&str, usize, usize, usize, &str); 9] = [
+    ("gemm", 32, 784, 512, "fp 784->512"),
+    ("gemm", 32, 512, 512, "fp 512->512"),
+    ("gemm", 32, 512, 10, "fp 512->10"),
+    ("gemm_tn", 784, 32, 512, "dW 784->512"),
+    ("gemm_tn", 512, 32, 512, "dW 512->512"),
+    ("gemm_tn", 512, 32, 10, "dW 512->10"),
+    ("gemm_nt", 32, 512, 784, "dX 784->512"),
+    ("gemm_nt", 32, 512, 512, "dX 512->512"),
+    ("gemm_nt", 32, 10, 512, "dX 512->10"),
+];
+
+/// Share of the left operand's entries set to zero, in percent.
+const DENSE_ZEROS: [u64; 2] = [0, 50];
 
 /// The three dispatch modes, with the environment that selects each.
 /// `CDSGD_PAR_THRESHOLD=off` isolates SIMD from tiling; the last mode
@@ -143,6 +163,62 @@ fn run_child(iters: usize) -> Vec<serde_json::Value> {
     records
 }
 
+/// [`pseudo`] with every entry whose hash falls below `zeros_pct` set to 0.0.
+fn pseudo_sparse(n: usize, seed: u64, zeros_pct: u64) -> Vec<f32> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    pseudo(n, seed)
+        .into_iter()
+        .map(|v| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            if s % 100 < zeros_pct {
+                0.0
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
+/// One mode's Dense-layer GEMM measurements: a record per (shape, zeros).
+fn run_dense(iters: usize) -> Vec<serde_json::Value> {
+    let mut records = Vec::new();
+    for zeros_pct in DENSE_ZEROS {
+        for (op, m, k, n, role) in DENSE {
+            let a = pseudo_sparse(m * k, 5, zeros_pct);
+            let b = pseudo(k * n, 7);
+            let mut c = vec![0.0f32; m * n];
+            let gemm = match op {
+                "gemm" => kernel::gemm,
+                "gemm_tn" => kernel::gemm_tn,
+                _ => kernel::gemm_nt,
+            };
+            let s = median_s(iters, || {
+                gemm(black_box(&a), black_box(&b), &mut c, m, k, n);
+                black_box(&c);
+            });
+            records.push(serde_json::json!({
+                "op": op, "shape": format!("{m}x{k}x{n}"), "role": role,
+                "zeros_pct": zeros_pct, "median_s": s,
+                "gflops": 2.0 * (m * k * n) as f64 / s / 1e9,
+            }));
+        }
+    }
+    records
+}
+
+fn dense_median(records: &[serde_json::Value], role: &str, zeros_pct: u64) -> f64 {
+    records
+        .iter()
+        .find_map(|r| {
+            (r["role"].as_str() == Some(role) && r["zeros_pct"].as_u64() == Some(zeros_pct))
+                .then(|| r["median_s"].as_f64())
+                .flatten()
+        })
+        .unwrap_or(f64::NAN)
+}
+
 fn median_of(records: &[serde_json::Value], op: &str, n: usize) -> Option<f64> {
     records.iter().find_map(|r| {
         (r["op"].as_str() == Some(op) && r["n"].as_u64() == Some(n as u64))
@@ -158,6 +234,7 @@ fn main() {
         let out = serde_json::json!({
             "backend": kernel::backend().name(),
             "records": run_child(iters),
+            "dense": run_dense(5 * iters),
         });
         println!(
             "{MARKER}{}",
@@ -215,8 +292,30 @@ fn main() {
         }
     }
 
+    // Dense-layer GEMMs: median seconds per mode, SIMD speedups.
+    println!(
+        "\n{:>12} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8}",
+        "dense gemm", "zeros", "scalar_s", "simd_s", "simd+ray_s", "simd_x", "ray_x"
+    );
+    let dense: Vec<Vec<serde_json::Value>> = modes
+        .iter()
+        .map(|(_, v)| v["dense"].as_array().expect("dense").clone())
+        .collect();
+    for zeros_pct in DENSE_ZEROS {
+        for (_, _, _, _, role) in DENSE {
+            let [s, v, r] = [0, 1, 2].map(|i| dense_median(&dense[i], role, zeros_pct));
+            println!(
+                "{role:>12} {:>5}% {s:>12.6} {v:>12.6} {r:>12.6} {:>8.2} {:>8.2}",
+                zeros_pct,
+                s / v,
+                s / r
+            );
+        }
+    }
+
     let out = serde_json::json!({
         "bench": "kernels",
+        "nproc": std::thread::available_parallelism().map_or(0, |n| n.get()),
         "sizes": SIZES.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
         "iters": iters,
         "modes": modes
@@ -226,6 +325,7 @@ fn main() {
                     "mode": *mode,
                     "backend": v["backend"].clone(),
                     "records": v["records"].clone(),
+                    "dense": v["dense"].clone(),
                 })
             })
             .collect::<Vec<_>>(),

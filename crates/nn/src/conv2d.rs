@@ -51,6 +51,43 @@ impl Conv2d {
         self.out_c
     }
 
+    /// Fill the parameter gradients from the cached forward and, when
+    /// `want_dx`, return ∂loss/∂input.
+    fn backprop(&mut self, dy: &Tensor, want_dx: bool) -> Option<Tensor> {
+        let (g, cols) = self.cache.take().expect("backward without forward");
+        let n = dy.shape()[0];
+        assert_eq!(dy.shape()[1], self.out_c);
+        let out_plane = g.out_h() * g.out_w();
+        let img_len = g.c * g.h * g.w;
+
+        self.weight.grad.fill_zero();
+        self.bias.grad.fill_zero();
+        let mut dx = want_dx.then(|| Tensor::zeros(&[n, g.c, g.h, g.w]));
+        for (s, col) in cols.iter().enumerate() {
+            let dy_s = Tensor::from_vec(
+                vec![self.out_c, out_plane],
+                dy.data()[s * self.out_c * out_plane..(s + 1) * self.out_c * out_plane].to_vec(),
+            );
+            // dW += dy_s · colᵀ
+            self.weight.grad.add_assign(&dy_s.matmul_nt(col));
+            // db += Σ_spatial dy (sequential, order-pinned)
+            for oc in 0..self.out_c {
+                self.bias.grad.data_mut()[oc] +=
+                    kernel::reduce_sum(&dy_s.data()[oc * out_plane..(oc + 1) * out_plane]);
+            }
+            if let Some(dx) = dx.as_mut() {
+                // dcol = Wᵀ · dy_s, scattered back through col2im.
+                let dcol = self.weight.value.matmul_tn(&dy_s);
+                col2im(
+                    &dcol,
+                    &g,
+                    &mut dx.data_mut()[s * img_len..(s + 1) * img_len],
+                );
+            }
+        }
+        dx
+    }
+
     fn geom(&self, h: usize, w: usize) -> Conv2dGeom {
         Conv2dGeom {
             c: self.in_c,
@@ -94,36 +131,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (g, cols) = self.cache.take().expect("backward without forward");
-        let n = dy.shape()[0];
-        assert_eq!(dy.shape()[1], self.out_c);
-        let out_plane = g.out_h() * g.out_w();
-        let img_len = g.c * g.h * g.w;
+        self.backprop(dy, true).expect("input gradient requested")
+    }
 
-        self.weight.grad.fill_zero();
-        self.bias.grad.fill_zero();
-        let mut dx = Tensor::zeros(&[n, g.c, g.h, g.w]);
-        for (s, col) in cols.iter().enumerate() {
-            let dy_s = Tensor::from_vec(
-                vec![self.out_c, out_plane],
-                dy.data()[s * self.out_c * out_plane..(s + 1) * self.out_c * out_plane].to_vec(),
-            );
-            // dW += dy_s · colᵀ
-            self.weight.grad.add_assign(&dy_s.matmul_nt(col));
-            // db += Σ_spatial dy (sequential, order-pinned)
-            for oc in 0..self.out_c {
-                self.bias.grad.data_mut()[oc] +=
-                    kernel::reduce_sum(&dy_s.data()[oc * out_plane..(oc + 1) * out_plane]);
-            }
-            // dcol = Wᵀ · dy_s, scattered back through col2im.
-            let dcol = self.weight.value.matmul_tn(&dy_s);
-            col2im(
-                &dcol,
-                &g,
-                &mut dx.data_mut()[s * img_len..(s + 1) * img_len],
-            );
-        }
-        dx
+    fn backward_params(&mut self, dy: &Tensor) {
+        self.backprop(dy, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

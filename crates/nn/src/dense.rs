@@ -44,11 +44,16 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_params(dy);
+        // dx = dy·Wᵀ
+        dy.matmul_nt(&self.weight.value)
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) {
         let x = self.cached_x.take().expect("backward without forward");
-        // dW = xᵀ·dy ; db = Σ_rows dy ; dx = dy·Wᵀ
+        // dW = xᵀ·dy ; db = Σ_rows dy
         self.weight.grad = x.matmul_tn(dy);
         self.bias.grad = dy.sum_rows();
-        dy.matmul_nt(&self.weight.value)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

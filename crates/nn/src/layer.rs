@@ -49,6 +49,10 @@ impl Param {
 ///   `backward` consumes the most recent `forward`'s cache.
 /// * `backward` receives ∂loss/∂output and returns ∂loss/∂input, writing
 ///   ∂loss/∂params into each [`Param::grad`] (overwriting, not adding).
+/// * `backward_params` is `backward` for a caller that will not read
+///   ∂loss/∂input (the first layers of a model): it must leave every
+///   [`Param::grad`] bit-identical to what `backward` writes and consume
+///   the forward cache the same way, but may skip computing ∂loss/∂input.
 /// * `visit_params` exposes parameters in a stable order; the parameter
 ///   server keys layers by visitation index, so the order must not change
 ///   between calls.
@@ -59,6 +63,14 @@ pub trait Layer: Send {
     /// Back-propagate: given ∂loss/∂output return ∂loss/∂input and fill
     /// parameter gradients.
     fn backward(&mut self, dy: &Tensor) -> Tensor;
+
+    /// Back-propagate for the parameter gradients only: fill every
+    /// [`Param::grad`] exactly as [`Layer::backward`] would, without
+    /// returning ∂loss/∂input. The default runs `backward` and drops its
+    /// result; layers whose input gradient costs real work override it.
+    fn backward_params(&mut self, dy: &Tensor) {
+        let _ = self.backward(dy);
+    }
 
     /// Visit all learnable parameters in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -157,6 +157,21 @@ impl Layer for Sequential {
         cur
     }
 
+    /// Back-propagate down to the first layer that has parameters, which
+    /// gets `backward_params`; the layers in front of it, having no
+    /// gradients to fill, are not visited. With no parameters at all this
+    /// does nothing.
+    fn backward_params(&mut self, dy: &Tensor) {
+        let Some(first) = self.layers.iter_mut().position(|l| l.num_params() > 0) else {
+            return;
+        };
+        let mut cur = dy.clone();
+        for layer in self.layers[first + 1..].iter_mut().rev() {
+            cur = layer.backward(&cur);
+        }
+        self.layers[first].backward_params(&cur);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

@@ -12,12 +12,13 @@
 //!   and the ikj-order GEMMs touch 8 unrelated output elements per
 //!   vector op, so per-element operation order is unchanged.
 //! * **The transpose trick for GEMM-NT.** A dot product is a true
-//!   reduction, so instead of reassociating one dot we compute 8 output
-//!   columns at once: 8×8 register transpose of a B tile, then a
-//!   broadcast-multiply per `p`. Each lane accumulates its column in
-//!   strictly sequential `p` order — the same order as one scalar dot.
+//!   reduction, so instead of reassociating one dot each lane owns one
+//!   output column: B is transposed (8×8 register tiles) into a packed
+//!   panel, then a broadcast-multiply per `p`. Each lane accumulates its
+//!   column in strictly sequential `p` order — the same order as one
+//!   scalar dot.
 //! * **Preserved zero-skips.** The GEMM `av == 0.0` skip and the 2-bit
-//!   decoder's "no write for code 0" are kept (via branch or blend):
+//!   decoder's "no write for code 0" are kept (via compaction or blend):
 //!   `c + 0.0` is not a bitwise no-op when `c` is `-0.0`.
 //! * **Ordered-quiet compares.** `_CMP_GE_OQ`/`_CMP_LE_OQ` return false
 //!   for NaN, matching scalar `>=`/`<=`; `_mm256_max_ps(x, acc)` keeps
@@ -285,17 +286,69 @@ pub unsafe fn reduce_max_abs(x: &[f32]) -> f32 {
 // GEMM microkernels
 // ---------------------------------------------------------------------------
 
+/// Depth of one GEMM k-block: a packed 64-column panel of this many B
+/// rows is 32 KiB, so it stays in L1 while every band row streams it.
+const KC: usize = 128;
+
+/// The nonzero `(p, a[p])` pairs of each A row in a GEMM band, split
+/// into [`KC`]-deep k-blocks: segment `(r, kb)` holds band row `r`'s
+/// pairs with `p` in `kb·KC..(kb + 1)·KC`, in increasing `p` order, each
+/// stored as its offset `p - kb·KC`.
+///
+/// Dropping the zeros here *is* the scalar reference's `av == 0.0` skip,
+/// done once per call instead of per (row, `p`) in the hot loop, where a
+/// ReLU-sparse row makes that branch mispredict. NaN is not `== 0.0`, so
+/// it is kept, as in the reference.
+struct Nonzeros {
+    entries: Vec<(u32, f32)>,
+    /// Segment `(r, kb)` is `entries[starts[s]..starts[s + 1]]`, `s = r·kblocks + kb`.
+    starts: Vec<usize>,
+    rows: usize,
+    kblocks: usize,
+}
+
+impl Nonzeros {
+    /// Compact `rows` rows of length `k`; `at(r, p)` is element `p` of
+    /// band row `r`. The entry scratch is at most `rows · k` 8-byte pairs.
+    fn compact(rows: usize, k: usize, at: impl Fn(usize, usize) -> f32) -> Self {
+        let kblocks = k.div_ceil(KC);
+        let mut entries: Vec<(u32, f32)> = Vec::with_capacity(rows * k);
+        let mut starts = Vec::with_capacity(rows * kblocks + 1);
+        starts.push(0);
+        let dst = entries.as_mut_ptr();
+        let mut len = 0usize;
+        for r in 0..rows {
+            for k0 in (0..k).step_by(KC) {
+                for p in k0..k.min(k0 + KC) {
+                    let av = at(r, p);
+                    // Branch-free: always write the slot, advance past
+                    // nonzeros only.
+                    // SAFETY: `len <= r·k + p < rows·k`, the capacity.
+                    unsafe { dst.add(len).write(((p - k0) as u32, av)) };
+                    len += (av != 0.0) as usize;
+                }
+                starts.push(len);
+            }
+        }
+        // SAFETY: the first `len` slots were written above.
+        unsafe { entries.set_len(len) };
+        Self {
+            entries,
+            starts,
+            rows,
+            kblocks,
+        }
+    }
+
+    fn segment(&self, r: usize, kb: usize) -> &[(u32, f32)] {
+        let s = r * self.kblocks + kb;
+        &self.entries[self.starts[s]..self.starts[s + 1]]
+    }
+}
+
 /// `C[rows, n] += A[rows, k] · B[k, n]` (AVX2, ikj order).
 ///
-/// Register blocking: 32 output columns (4 ymm) are held in registers
-/// across the whole `p` loop, so each C element is loaded/stored once
-/// per block instead of once per `p`. Each 32-column B panel is packed
-/// into a contiguous scratch buffer once per panel — the stride-`n` walk
-/// through B happens once instead of once per output row, and the hot
-/// loop reads sequential, L2-resident memory even when B itself spills
-/// cache. Per element the adds still happen in increasing `p` order with
-/// the `av == 0.0` skip intact, so the result is bit-identical to the
-/// scalar ikj loop.
+/// Compacts each A row to its nonzeros, then runs [`gemm_compacted`].
 #[target_feature(enable = "avx2")]
 pub unsafe fn gemm_block(
     a: &[f32],
@@ -305,80 +358,14 @@ pub unsafe fn gemm_block(
     k: usize,
     n: usize,
 ) {
-    let bp = b.as_ptr();
-    let mut panel = vec![0.0f32; k * 32];
-    let mut j = 0usize;
-    while j + 32 <= n {
-        for p in 0..k {
-            let src = bp.add(p * n + j);
-            let dst = panel.as_mut_ptr().add(p * 32);
-            _mm256_storeu_ps(dst, _mm256_loadu_ps(src));
-            _mm256_storeu_ps(dst.add(8), _mm256_loadu_ps(src.add(8)));
-            _mm256_storeu_ps(dst.add(16), _mm256_loadu_ps(src.add(16)));
-            _mm256_storeu_ps(dst.add(24), _mm256_loadu_ps(src.add(24)));
-        }
-        let pp = panel.as_ptr();
-        for (ri, i) in rows.clone().enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let cp = c_chunk.as_mut_ptr().add(ri * n + j);
-            let mut c0 = _mm256_loadu_ps(cp);
-            let mut c1 = _mm256_loadu_ps(cp.add(8));
-            let mut c2 = _mm256_loadu_ps(cp.add(16));
-            let mut c3 = _mm256_loadu_ps(cp.add(24));
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                let br = pp.add(p * 32);
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, _mm256_loadu_ps(br)));
-                c1 = _mm256_add_ps(c1, _mm256_mul_ps(va, _mm256_loadu_ps(br.add(8))));
-                c2 = _mm256_add_ps(c2, _mm256_mul_ps(va, _mm256_loadu_ps(br.add(16))));
-                c3 = _mm256_add_ps(c3, _mm256_mul_ps(va, _mm256_loadu_ps(br.add(24))));
-            }
-            _mm256_storeu_ps(cp, c0);
-            _mm256_storeu_ps(cp.add(8), c1);
-            _mm256_storeu_ps(cp.add(16), c2);
-            _mm256_storeu_ps(cp.add(24), c3);
-        }
-        j += 32;
-    }
-    if j >= n {
-        return;
-    }
-    for (ri, i) in rows.enumerate() {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c_chunk[ri * n..(ri + 1) * n];
-        let cp = c_row.as_mut_ptr();
-        let mut jj = j;
-        while jj + 8 <= n {
-            let mut c0 = _mm256_loadu_ps(cp.add(jj));
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(p * n + jj))));
-            }
-            _mm256_storeu_ps(cp.add(jj), c0);
-            jj += 8;
-        }
-        if jj < n {
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for jx in jj..n {
-                    c_row[jx] += av * b_row[jx];
-                }
-            }
-        }
-    }
+    let i0 = rows.start;
+    let nz = Nonzeros::compact(rows.len(), k, |r, p| a[(i0 + r) * k + p]);
+    gemm_compacted(&nz, b, c_chunk, k, n);
 }
 
-/// `C[rows, n] += A[k, m]ᵀ · B[k, n]` (AVX2): the same column-blocked
-/// broadcast kernel as [`gemm_block`] with strided A reads.
+/// `C[rows, n] += A[k, m]ᵀ · B[k, n]` (AVX2): the same kernel as
+/// [`gemm_block`]; the compaction reads the A band with stride `m`, so
+/// no transposed copy of it is made.
 #[target_feature(enable = "avx2")]
 pub unsafe fn gemm_tn_block(
     a: &[f32],
@@ -389,17 +376,141 @@ pub unsafe fn gemm_tn_block(
     k: usize,
     n: usize,
 ) {
-    // Transpose the A band once (one stride-`m` pass) so the hot loops
-    // read contiguous rows, then run the identical panel-packed kernel
-    // as [`gemm_block`].
-    let band: Vec<usize> = rows.collect();
-    let mut a_t = vec![0.0f32; band.len() * k];
-    for (ri, &i) in band.iter().enumerate() {
-        for p in 0..k {
-            a_t[ri * k + p] = a[p * m + i];
+    let i0 = rows.start;
+    let nz = Nonzeros::compact(rows.len(), k, |r, p| a[p * m + i0 + r]);
+    gemm_compacted(&nz, b, c_chunk, k, n);
+}
+
+/// `C[band, n] += A · B[k, n]` with A given as its compacted nonzeros.
+///
+/// For each [`KC`]-deep k-block, column panels widest first: 64 columns
+/// (8 ymm accumulators), then at most one of 32 (4), then the last
+/// `< 32` columns in one pass of up to 4 accumulators, the final one
+/// masked to the columns left. The 64/32 panels of the k-block's B rows
+/// are packed into a contiguous L1-sized scratch, so the stride-`n` walk
+/// through B happens once per panel rather than once per output row; the
+/// narrow rest reads B in place. A row's accumulators stay in registers
+/// across its whole segment, so each C element is loaded and stored once
+/// per k-block. Per element the adds still happen in increasing `p`
+/// order (k-blocks in order, `p` in order within each) over exactly the
+/// nonzero `a` — the scalar ikj loop's order — so the result is
+/// bit-identical.
+///
+/// # Safety
+/// AVX2 is available, `nz` was compacted with this `k`, B holds at least
+/// `k·n` and C at least `nz.rows·n` elements.
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_compacted(nz: &Nonzeros, b: &[f32], c_chunk: &mut [f32], k: usize, n: usize) {
+    let width = if n >= 64 {
+        64
+    } else if n >= 32 {
+        32
+    } else {
+        0
+    };
+    let mut panel = Vec::with_capacity(KC.min(k) * width);
+    for kb in 0..nz.kblocks {
+        let ps = kb * KC..k.min((kb + 1) * KC);
+        let mut block = KBlock {
+            nz,
+            kb,
+            c: &mut *c_chunk,
+            n,
+        };
+        let mut j = 0usize;
+        while j + 64 <= n {
+            pack_panel(b, &mut panel, ps.clone(), n, j, 64);
+            panel_rows::<8>(&mut block, panel.as_ptr(), 64, j, 64);
+            j += 64;
+        }
+        if j + 32 <= n {
+            pack_panel(b, &mut panel, ps.clone(), n, j, 32);
+            panel_rows::<4>(&mut block, panel.as_ptr(), 32, j, 32);
+            j += 32;
+        }
+        let (rest, bp) = (n - j, b.as_ptr().add(ps.start * n + j));
+        match rest.div_ceil(8) {
+            0 => {}
+            1 => panel_rows::<1>(&mut block, bp, n, j, rest),
+            2 => panel_rows::<2>(&mut block, bp, n, j, rest),
+            3 => panel_rows::<3>(&mut block, bp, n, j, rest),
+            _ => panel_rows::<4>(&mut block, bp, n, j, rest),
         }
     }
-    gemm_block(&a_t, b, 0..band.len(), c_chunk, k, n);
+}
+
+/// Copy columns `j..j + w` of B rows `ps` (row-major, `n` columns) into
+/// `panel` as a contiguous `ps.len() × w` block.
+fn pack_panel(b: &[f32], panel: &mut Vec<f32>, ps: Range<usize>, n: usize, j: usize, w: usize) {
+    panel.clear();
+    for p in ps {
+        panel.extend_from_slice(&b[p * n + j..p * n + j + w]);
+    }
+}
+
+/// One k-block of a compacted GEMM: the A segments of block `kb` and
+/// the `rows × n` C band they accumulate into.
+struct KBlock<'a> {
+    nz: &'a Nonzeros,
+    kb: usize,
+    c: &'a mut [f32],
+    n: usize,
+}
+
+/// For every band row `r`: `C[r, j..j + w] += Σ a · B[p, ·]` over the
+/// row's segment in this k-block, with B's `w` columns for the segment's
+/// `p` offset `q` at `bp + q · stride`, and `8(V - 1) < w ≤ 8V`. The `V`
+/// accumulators stay in registers for the whole segment; when `w < 8V`
+/// the last one loads and stores only its first `w - 8(V - 1)` lanes, so
+/// nothing past column `j + w` is read or written.
+///
+/// # Safety
+/// AVX2 is available, and for every offset `q` in the k-block's
+/// segments, `bp + q · stride` starts `w` readable floats.
+#[target_feature(enable = "avx2")]
+unsafe fn panel_rows<const V: usize>(
+    blk: &mut KBlock,
+    bp: *const f32,
+    stride: usize,
+    j: usize,
+    w: usize,
+) {
+    debug_assert!(8 * (V - 1) < w && w <= 8 * V);
+    let last = 8 * (V - 1);
+    let mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32((w - last) as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    let full = w == 8 * V;
+    let load = |ptr: *const f32, v: usize| {
+        if v < V - 1 || full {
+            _mm256_loadu_ps(ptr.add(8 * v))
+        } else {
+            _mm256_maskload_ps(ptr.add(last), mask)
+        }
+    };
+    let n = blk.n;
+    for r in 0..blk.nz.rows {
+        let cp = blk.c[r * n + j..r * n + j + w].as_mut_ptr();
+        let mut acc = [_mm256_setzero_ps(); V];
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = load(cp, v);
+        }
+        for &(q, av) in blk.nz.segment(r, blk.kb) {
+            let va = _mm256_set1_ps(av);
+            let br = bp.add(q as usize * stride);
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, load(br, v)));
+            }
+        }
+        for (v, &acc) in acc.iter().enumerate() {
+            if v < V - 1 || full {
+                _mm256_storeu_ps(cp.add(8 * v), acc);
+            } else {
+                _mm256_maskstore_ps(cp.add(last), mask, acc);
+            }
+        }
+    }
 }
 
 /// Transpose an 8×8 f32 tile held in registers: output `q` holds input
@@ -438,12 +549,14 @@ unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
 /// `C[rows, n] += A[rows, k] · B[n, k]ᵀ` (AVX2).
 ///
 /// Each output element is a dot product — a true reduction — so naive
-/// lane-striping would reassociate it. Instead we compute 8 output
-/// columns at once: load an 8×8 tile of B, transpose it in registers,
-/// and broadcast `a[p]` across lanes. Lane `u` then accumulates column
-/// `j+u` in strictly increasing `p` order, which is exactly the scalar
-/// sequential dot — bit-identical, including the `0.0` start and the
-/// `c += acc` finish.
+/// lane-striping would reassociate it. Instead each lane owns one output
+/// column: 16 columns of Bᵀ are packed once per call into a `k × 16`
+/// panel (8×8 register transposes of B tiles), and a broadcast `a[p]`
+/// times panel row `p` adds one term to every column at once. Lane `u`
+/// thus accumulates column `j+u` from `0.0` in strictly increasing `p`
+/// order, then `c += acc` — exactly the scalar sequential dot, so the
+/// result is bit-identical. Rows go 4 at a time ([`nt_rows`]): 8
+/// independent accumulator chains share each pair of panel loads.
 #[target_feature(enable = "avx2")]
 pub unsafe fn gemm_nt_block(
     a: &[f32],
@@ -453,58 +566,105 @@ pub unsafe fn gemm_nt_block(
     k: usize,
     n: usize,
 ) {
-    for (ri, i) in rows.enumerate() {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c_chunk[ri * n..(ri + 1) * n];
-        let bp = b.as_ptr();
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let mut acc = _mm256_setzero_ps();
-            let mut p = 0usize;
-            while p + 8 <= k {
-                let tile = transpose8([
-                    _mm256_loadu_ps(bp.add(j * k + p)),
-                    _mm256_loadu_ps(bp.add((j + 1) * k + p)),
-                    _mm256_loadu_ps(bp.add((j + 2) * k + p)),
-                    _mm256_loadu_ps(bp.add((j + 3) * k + p)),
-                    _mm256_loadu_ps(bp.add((j + 4) * k + p)),
-                    _mm256_loadu_ps(bp.add((j + 5) * k + p)),
-                    _mm256_loadu_ps(bp.add((j + 6) * k + p)),
-                    _mm256_loadu_ps(bp.add((j + 7) * k + p)),
-                ]);
-                for (q, &t) in tile.iter().enumerate() {
-                    let va = _mm256_set1_ps(a_row[p + q]);
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, t));
-                }
-                p += 8;
+    let mut panel = vec![0.0f32; k * 16];
+    let nr = rows.len();
+    for j in (0..n).step_by(16) {
+        let w = 16.min(n - j);
+        pack_transposed(b, &mut panel, k, j, w);
+        for r in (0..nr).step_by(4) {
+            let band = &a[(rows.start + r) * k..];
+            let c = &mut c_chunk[r * n..];
+            match nr - r {
+                1 => nt_rows::<1>(band, &panel, c, k, n, j, w),
+                2 => nt_rows::<2>(band, &panel, c, k, n, j, w),
+                3 => nt_rows::<3>(band, &panel, c, k, n, j, w),
+                _ => nt_rows::<4>(band, &panel, c, k, n, j, w),
             }
-            while p < k {
-                // Strided column gather for the p-tail; still one
-                // sequential add per lane.
-                let bv = _mm256_setr_ps(
-                    b[j * k + p],
-                    b[(j + 1) * k + p],
-                    b[(j + 2) * k + p],
-                    b[(j + 3) * k + p],
-                    b[(j + 4) * k + p],
-                    b[(j + 5) * k + p],
-                    b[(j + 6) * k + p],
-                    b[(j + 7) * k + p],
-                );
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a_row[p]), bv));
-                p += 1;
-            }
-            let cptr = c_row.as_mut_ptr().add(j);
-            _mm256_storeu_ps(cptr, _mm256_add_ps(_mm256_loadu_ps(cptr), acc));
-            j += 8;
         }
-        for jj in j..n {
-            let b_row = &b[jj * k..(jj + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
+    }
+}
+
+/// `panel[p·16 + u] = B[j + u, p]` for `u < w`; lanes `w..16` are left as
+/// they were (their sums are never stored).
+///
+/// # Safety
+/// AVX2 is available, `B` holds at least `(j + w)·k` elements and the
+/// panel at least `16·k`.
+#[target_feature(enable = "avx2")]
+unsafe fn pack_transposed(b: &[f32], panel: &mut [f32], k: usize, j: usize, w: usize) {
+    let bp = b.as_ptr();
+    let pp = panel.as_mut_ptr();
+    let k8 = blocks(k, 8);
+    let mut u0 = 0usize;
+    while u0 + 8 <= w {
+        let row = |u: usize| bp.add((j + u0 + u) * k);
+        let mut p = 0usize;
+        while p < k8 {
+            let tile = transpose8([
+                _mm256_loadu_ps(row(0).add(p)),
+                _mm256_loadu_ps(row(1).add(p)),
+                _mm256_loadu_ps(row(2).add(p)),
+                _mm256_loadu_ps(row(3).add(p)),
+                _mm256_loadu_ps(row(4).add(p)),
+                _mm256_loadu_ps(row(5).add(p)),
+                _mm256_loadu_ps(row(6).add(p)),
+                _mm256_loadu_ps(row(7).add(p)),
+            ]);
+            for (q, &t) in tile.iter().enumerate() {
+                _mm256_storeu_ps(pp.add((p + q) * 16 + u0), t);
             }
-            c_row[jj] += acc;
+            p += 8;
+        }
+        for p in k8..k {
+            for u in 0..8 {
+                panel[p * 16 + u0 + u] = b[(j + u0 + u) * k + p];
+            }
+        }
+        u0 += 8;
+    }
+    for u in u0..w {
+        for p in 0..k {
+            panel[p * 16 + u] = b[(j + u) * k + p];
+        }
+    }
+}
+
+/// `R` consecutive output rows of [`gemm_nt_block`] against one packed
+/// panel: A rows `band[0..R·k]` into columns `j..j + w` of the `R × n`
+/// block at `c`. Two accumulators per row (16 columns); each lane's adds
+/// run in sequential `p` order.
+///
+/// # Safety
+/// AVX2 is available and the panel holds at least `16·k` elements.
+#[target_feature(enable = "avx2")]
+unsafe fn nt_rows<const R: usize>(
+    band: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+    j: usize,
+    w: usize,
+) {
+    let band = &band[..R * k];
+    let pp = panel.as_ptr();
+    let mut lo = [_mm256_setzero_ps(); R];
+    let mut hi = [_mm256_setzero_ps(); R];
+    for p in 0..k {
+        let b0 = _mm256_loadu_ps(pp.add(p * 16));
+        let b1 = _mm256_loadu_ps(pp.add(p * 16 + 8));
+        for r in 0..R {
+            let va = _mm256_set1_ps(band[r * k + p]);
+            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(va, b0));
+            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(va, b1));
+        }
+    }
+    for r in 0..R {
+        let mut sums = [0.0f32; 16];
+        _mm256_storeu_ps(sums.as_mut_ptr(), lo[r]);
+        _mm256_storeu_ps(sums.as_mut_ptr().add(8), hi[r]);
+        for (cv, &s) in c[r * n + j..r * n + j + w].iter_mut().zip(&sums) {
+            *cv += s;
         }
     }
 }

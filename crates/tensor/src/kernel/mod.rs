@@ -35,7 +35,10 @@
 //! FMA, vectorize across independent outputs only, keep every
 //! zero-skip, and express true sequential reductions either scalar-only
 //! ([`reduce_sum`] and friends) or under an explicitly striped order
-//! contract ([`dot`]).
+//! contract ([`dot`]). One bit is outside the contract: the sign of a
+//! NaN made by adding two NaNs whose signs differ, which Rust leaves
+//! unspecified (the GEMMs meet it when an input NaN and an `inf·0` NaN
+//! reach one sum; DESIGN.md §15).
 //!
 //! Tail handling: vector bodies process the largest lane-width multiple
 //! and fall back to the scalar loop for the remainder, so

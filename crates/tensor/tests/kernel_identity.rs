@@ -23,6 +23,11 @@ const SPECIALS: [f32; 8] = [
 /// Deterministic fill: mixes ordinary values with exact zeros (to
 /// exercise the GEMM zero-skip) and, when asked, NaN/Inf specials.
 fn fill(seed: u64, len: usize, with_specials: bool) -> Vec<f32> {
+    fill_with(seed, len, if with_specials { &SPECIALS } else { &[] })
+}
+
+/// [`fill`] drawing its specials (about one entry in 16) from `specials`.
+fn fill_with(seed: u64, len: usize, specials: &[f32]) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     (0..len)
         .map(|_| {
@@ -31,7 +36,26 @@ fn fill(seed: u64, len: usize, with_specials: bool) -> Vec<f32> {
             s ^= s << 17;
             match s % 16 {
                 0 => 0.0,
-                1 if with_specials => SPECIALS[(s >> 8) as usize % SPECIALS.len()],
+                1 if !specials.is_empty() => specials[(s >> 8) as usize % specials.len()],
+                _ => ((s >> 16) as i32 % 1000) as f32 / 37.0,
+            }
+        })
+        .collect()
+}
+
+/// Deterministic fill in which at least half the entries are `±0.0`
+/// (a ReLU-sparse activation with both zero signs), so the GEMM
+/// zero-skip decides many sign bits.
+fn fill_signed_zeros(seed: u64, len: usize) -> Vec<f32> {
+    let mut s = seed.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(3);
+    (0..len)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            match s % 4 {
+                0 => 0.0,
+                1 => -0.0,
                 _ => ((s >> 16) as i32 % 1000) as f32 / 37.0,
             }
         })
@@ -56,8 +80,67 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(
             g.to_bits(),
             w.to_bits(),
-            "{what}: bit mismatch at {i}: {g:?} vs {w:?}"
+            "{what}: bit mismatch at {i}: {g:?} ({:#010x}) vs {w:?} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
         );
+    }
+}
+
+/// `gemm`, `gemm_nt` and `gemm_tn` at one `(m, k, n)` against their
+/// scalar references, in four input regimes, each in A, B and C:
+///
+/// 0. ordinary values with some exact zeros;
+/// 1. A at least half `±0.0`, accumulated into a C of all `-0.0` (where
+///    a wrong zero-skip flips a sign bit);
+/// 2. the non-NaN [`SPECIALS`] (`±inf`, `±1e30`, `±0.0`, subnormal
+///    boundary), which make NaNs through `inf·0` and `inf - inf`;
+/// 3. the NaN special among ordinary values.
+///
+/// Regimes 2 and 3 are kept apart because a GEMM add of two NaNs with
+/// different sign bits (a made NaN meeting an input NaN) returns a NaN
+/// whose sign Rust leaves unspecified: the scalar reference, as
+/// compiled, returns one operand's in its vectorized body and the
+/// other's in its remainder loop. Apart, every NaN either regime meets carries one bit
+/// pattern, so all output bits are defined and compared.
+///
+/// Both layouts of A and of B have the same element counts, so one set
+/// of buffers serves all three kernels.
+fn check_gemms(seed: u64, m: usize, k: usize, n: usize) {
+    for regime in 0..4 {
+        let specials: &[f32] = match regime {
+            2 => &SPECIALS[1..],
+            3 => &SPECIALS[..1],
+            _ => &[],
+        };
+        let (a, b, c) = match regime {
+            1 => (
+                fill_signed_zeros(seed, m * k),
+                fill(seed + 1, k * n, false),
+                vec![-0.0; m * n],
+            ),
+            _ => (
+                fill_with(seed, m * k, specials),
+                fill_with(seed + 1, k * n, specials),
+                fill_with(seed + 2, m * n, specials),
+            ),
+        };
+        let what = format!("m={m} k={k} n={n} regime {regime}");
+
+        let (mut got, mut want) = (c.clone(), c.clone());
+        kernel::gemm(&a, &b, &mut got, m, k, n);
+        scalar::gemm_block(&a, &b, 0..m, &mut want, k, n);
+        assert_bits_eq(&got, &want, &format!("gemm {what}"));
+
+        let (mut got, mut want) = (c.clone(), c.clone());
+        kernel::gemm_nt(&a, &b, &mut got, m, k, n);
+        scalar::gemm_nt_block(&a, &b, 0..m, &mut want, k, n);
+        assert_bits_eq(&got, &want, &format!("gemm_nt {what}"));
+
+        let (mut got, mut want) = (c.clone(), c);
+        kernel::gemm_tn(&a, &b, &mut got, m, k, n);
+        scalar::gemm_tn_block(&a, &b, 0..m, &mut want, m, k, n);
+        assert_bits_eq(&got, &want, &format!("gemm_tn {what}"));
     }
 }
 
@@ -183,36 +266,8 @@ proptest! {
     }
 
     #[test]
-    fn gemm_identity(seed in 0u64..2000, m in 1usize..7, k in 1usize..9, n in 1usize..40) {
-        let a = fill(seed, m * k, false);
-        let b = fill(seed + 1, k * n, false);
-        let mut c1 = fill(seed + 2, m * n, false);
-        let mut c2 = c1.clone();
-        kernel::gemm(&a, &b, &mut c1, m, k, n);
-        scalar::gemm_block(&a, &b, 0..m, &mut c2, k, n);
-        assert_bits_eq(&c1, &c2, "gemm");
-    }
-
-    #[test]
-    fn gemm_nt_identity(seed in 0u64..2000, m in 1usize..7, k in 1usize..20, n in 1usize..20) {
-        let a = fill(seed, m * k, false);
-        let b = fill(seed + 1, n * k, false);
-        let mut c1 = fill(seed + 2, m * n, false);
-        let mut c2 = c1.clone();
-        kernel::gemm_nt(&a, &b, &mut c1, m, k, n);
-        scalar::gemm_nt_block(&a, &b, 0..m, &mut c2, k, n);
-        assert_bits_eq(&c1, &c2, "gemm_nt");
-    }
-
-    #[test]
-    fn gemm_tn_identity(seed in 0u64..2000, m in 1usize..7, k in 1usize..9, n in 1usize..40) {
-        let a = fill(seed, k * m, false);
-        let b = fill(seed + 1, k * n, false);
-        let mut c1 = fill(seed + 2, m * n, false);
-        let mut c2 = c1.clone();
-        kernel::gemm_tn(&a, &b, &mut c1, m, k, n);
-        scalar::gemm_tn_block(&a, &b, 0..m, &mut c2, m, k, n);
-        assert_bits_eq(&c1, &c2, "gemm_tn");
+    fn gemm_identity(seed in 0u64..2000, m in 1usize..11, k in 1usize..300, n in 1usize..160) {
+        check_gemms(seed, m, k, n);
     }
 
     #[test]
@@ -374,6 +429,51 @@ fn large_tiled_elementwise_identity() {
     kernel::sgd_step(&mut a2, &x, &a, 0.1);
     scalar::sgd_step(&mut b2, &x, &b, 0.1);
     assert_bits_eq(&a2, &b2, "sgd_step large");
+}
+
+/// Every GEMM panel width and tail, deterministically: `n` reaches the
+/// 64-column panels, the 32-column panel, full and masked 8-column
+/// vectors and the 16-column GEMM-NT panels with and without a partial
+/// one; `m` covers whole 4-row GEMM-NT blocks with and without a 1-3 row
+/// tail; `k` covers 8×8 transpose tiles with and without a `p`-tail, and
+/// one and two 128-deep k-blocks.
+#[test]
+fn gemm_panel_and_tail_sweep() {
+    const MS: [usize; 6] = [1, 3, 4, 5, 7, 9];
+    const KS: [usize; 6] = [1, 7, 8, 9, 41, 137];
+    const NS: [usize; 16] = [
+        1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 97, 104, 120, 129, 150, 161,
+    ];
+    let mut seed = 100;
+    for m in MS {
+        for k in KS {
+            for n in NS {
+                check_gemms(seed, m, k, n);
+                seed += 3;
+            }
+        }
+    }
+}
+
+/// The Dense layers of the 784-512-512-10 MLP at batch 32: the forward
+/// `X·W` shapes, the `Xᵀ·dY` weight-gradient shapes and the `dY·Wᵀ`
+/// input-gradient shapes (`(32, 512, 512)` is both a forward and an
+/// input-gradient shape). Each shape runs through all three kernels.
+#[test]
+fn gemm_dense_layer_shapes() {
+    const SHAPES: [(usize, usize, usize); 8] = [
+        (32, 784, 512),
+        (32, 512, 512),
+        (32, 512, 10),
+        (784, 32, 512),
+        (512, 32, 512),
+        (512, 32, 10),
+        (32, 10, 512),
+        (32, 512, 784),
+    ];
+    for (i, &(m, k, n)) in SHAPES.iter().enumerate() {
+        check_gemms(7000 + i as u64, m, k, n);
+    }
 }
 
 #[test]

@@ -415,11 +415,17 @@ fn cmd_train() {
     if let Some(path) = arg("save") {
         Checkpoint::new(history.algo.clone(), history.final_weights.clone())
             .save(&path)
-            .expect("write checkpoint");
+            .unwrap_or_else(|e| {
+                eprintln!("cannot write checkpoint {path}: {e}");
+                std::process::exit(1)
+            });
         println!("checkpoint written to {path}");
     }
     if let Some(path) = arg("history") {
-        save_history(&history, &path).expect("write history");
+        save_history(&history, &path).unwrap_or_else(|e| {
+            eprintln!("cannot write history {path}: {e}");
+            std::process::exit(1)
+        });
         println!("history written to {path}");
     }
 }

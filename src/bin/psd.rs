@@ -151,6 +151,16 @@ fn main() {
         ));
     }
 
+    let (acceptor, addr) = match TcpAcceptor::bind(("127.0.0.1", port), NetConfig::default()) {
+        Ok(bound) => bound,
+        Err(e) => {
+            console.error(format_args!(
+                "psd shard {shard}: cannot listen on 127.0.0.1:{port}: {e}"
+            ));
+            std::process::exit(1);
+        }
+    };
+
     // Supervision verdicts (expired rounds) render on stderr through
     // the console sink; `--trace` adds the full JSONL event stream.
     // The trace handle stays separate so it can be flushed before the
@@ -158,8 +168,6 @@ fn main() {
     let trace = trace_telemetry();
     let telemetry = Telemetry::new(Arc::new(Console::new())).and(&trace);
     let server = PsNetServer::start_durable(shard_init, cfg, telemetry, durability);
-    let (acceptor, addr) =
-        TcpAcceptor::bind(("127.0.0.1", port), NetConfig::default()).expect("bind TCP listener");
 
     // The contract with launchers: exactly one LISTENING line, flushed
     // before any client could need it.

@@ -317,3 +317,59 @@ fn worker_connect_failure_exits_one_with_typed_error() {
     assert!(stderr.contains(&addr), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn psd_port_in_use_exits_one_with_typed_error() {
+    // Hold the port for the whole run so the bind must fail.
+    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a local port");
+    let port = held.local_addr().expect("held port").port().to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_psd"))
+        .args(["--workers", "1", "--port", &port, "--model", MODEL])
+        .output()
+        .expect("run psd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot listen on"), "{stderr}");
+    assert!(stderr.contains(&port), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("LISTENING"));
+    drop(held);
+}
+
+#[test]
+fn cdsgd_train_unwritable_outputs_exit_one_with_typed_error() {
+    let missing = std::env::temp_dir().join(format!("cdsgd-no-such-dir-{}", std::process::id()));
+    let target = missing.join("out.json");
+    let target = target.to_str().expect("utf-8 temp path");
+    for (flag, what) in [("--save", "checkpoint"), ("--history", "history")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cdsgd"))
+            .args([
+                "train",
+                "--algo",
+                "ssgd",
+                "--dataset",
+                "blobs",
+                "--workers",
+                "1",
+            ])
+            .args([
+                "--epochs",
+                "1",
+                "--samples",
+                "64",
+                "--batch",
+                "16",
+                flag,
+                target,
+            ])
+            .output()
+            .expect("run cdsgd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("cannot write {what} {target}")),
+            "{flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
